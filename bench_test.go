@@ -271,6 +271,36 @@ func BenchmarkEngineIteration(b *testing.B) {
 	}
 }
 
+// benchVisit measures one circulating-submodel visit (core.Submodel.TrainOn)
+// of the ParMAC BA at the benchmark's training shape: D=128, L=32, one
+// 8000-point float shard and a shuffled order. Each visit is a submodel's
+// first of an iteration, so it includes the η0 calibration on the leading
+// 1000 points. sub picks the submodel from the problem's L encoders and L
+// decoder groups. Reported per point in ns/pt.
+func benchVisit(b *testing.B, sub func(l int) int) {
+	const n, d, l = 8000, 128, 32
+	ds := dataset.GISTLike(n, d, 16, 7)
+	shards := dataset.ShardIndices(n, 1, nil)
+	prob := binauto.NewParMACProblem(ds, shards, binauto.ParMACConfig{L: l, Mu0: 1e-4, Seed: 7})
+	sm := prob.Submodels()[sub(l)]
+	shard := prob.Shard(0)
+	order := rand.New(rand.NewSource(7)).Perm(n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		prob.OnIterationStart(0) // re-arm η0 calibration
+		sm.TrainOn(shard, order)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/pt")
+}
+
+// BenchmarkParMACEncoderVisit measures one bit-SVM visit (t_r^W of §5 for an
+// encoder submodel).
+func BenchmarkParMACEncoderVisit(b *testing.B) { benchVisit(b, func(int) int { return 0 }) }
+
+// BenchmarkParMACDecoderVisit measures one decoder-group visit (4 of the 128
+// output dimensions).
+func BenchmarkParMACDecoderVisit(b *testing.B) { benchVisit(b, func(l int) int { return l }) }
+
 // BenchmarkSimIteration measures the discrete-event simulator at Fig. 10's
 // SIFT-1B scale (P=128, M=128).
 func BenchmarkSimIteration(b *testing.B) {

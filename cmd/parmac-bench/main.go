@@ -10,8 +10,8 @@
 //	parmac-bench -json -label pr4    # write BENCH_pr4.json (hot-path
 //	                                 # micro-benches + Z-step core sweep)
 //
-// Each experiment id matches a table or figure of the paper; see DESIGN.md §4
-// for the mapping and EXPERIMENTS.md for paper-vs-measured notes. The -json
+// Each experiment id matches a table or figure of the paper (-list prints
+// them), and each table's notes state its scale and departures. The -json
 // mode records ns/op and allocs for every hot path plus a serial-vs-parallel
 // Z-step sweep, so each perf-relevant PR can commit its trajectory point.
 package main

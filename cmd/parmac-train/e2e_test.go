@@ -118,6 +118,21 @@ func TestSIGKILLWorkerMidTraining(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Read stdout to EOF before Wait: Wait closes the pipe, so a line the
+	// scanner has not read yet (the final "retrieval precision") would be
+	// lost.
+	deadline := time.After(2 * time.Minute)
+	hung := func() {
+		t.Fatalf("coordinator hung after worker SIGKILL\nstdout:\n%s\nstderr:\n%s",
+			snapshot(&outMu, &coordOut), coordErr.String())
+	}
+	for open := true; open; {
+		select {
+		case _, open = <-lines:
+		case <-deadline:
+			hung()
+		}
+	}
 	done := make(chan error, 1)
 	go func() { done <- coord.Wait() }()
 	select {
@@ -126,9 +141,8 @@ func TestSIGKILLWorkerMidTraining(t *testing.T) {
 			t.Fatalf("coordinator failed after worker SIGKILL: %v\nstdout:\n%s\nstderr:\n%s",
 				err, snapshot(&outMu, &coordOut), coordErr.String())
 		}
-	case <-time.After(2 * time.Minute):
-		t.Fatalf("coordinator hung after worker SIGKILL\nstdout:\n%s\nstderr:\n%s",
-			snapshot(&outMu, &coordOut), coordErr.String())
+	case <-deadline:
+		hung()
 	}
 
 	out := snapshot(&outMu, &coordOut)

@@ -20,7 +20,7 @@ func makeShards(n, d, l, p int, seed int64) []*Shard {
 				z.SetBit(i, b, rng.Intn(2) == 1)
 			}
 		}
-		shards = append(shards, &Shard{X: NewShardPoints(ds, idx), Z: z})
+		shards = append(shards, &Shard{X: shardPoints{ds, idx}, Z: z})
 	}
 	return shards
 }

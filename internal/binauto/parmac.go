@@ -1,6 +1,7 @@
 package binauto
 
 import (
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -24,8 +25,34 @@ import (
 // Shard is one machine's portion of the data and its auxiliary coordinates.
 // The codes never leave the shard; only submodels move (§4.1).
 type Shard struct {
-	X sgd.Points
+	X shardPoints
 	Z *retrieval.Codes
+}
+
+// shardPoints is a shard's view of its rows idx of a dataset. Besides whole
+// points (sgd.Points) it serves the two narrower reads the circulating
+// submodels make: a decoder group gathers only its own dimensions, and an
+// encoder reads a float-backed row in place.
+type shardPoints struct {
+	ds  *dataset.Dataset
+	idx []int
+}
+
+func (s shardPoints) NumPoints() int                       { return len(s.idx) }
+func (s shardPoints) Point(i int, dst []float64) []float64 { return s.ds.Point(s.idx[i], dst) }
+
+// Gather writes features dims of point i into dst (dataset.Dataset.Gather).
+func (s shardPoints) Gather(i int, dims []int, dst []float64) []float64 {
+	return s.ds.Gather(s.idx[i], dims, dst)
+}
+
+// row returns point i for reading only: the stored row itself when the
+// dataset is float-backed, else the point dequantised into buf.
+func (s shardPoints) row(i int, buf []float64) []float64 {
+	if s.ds.ByteBacked() {
+		return s.ds.Point(s.idx[i], buf)
+	}
+	return s.ds.Point(s.idx[i], nil)
 }
 
 // NumPoints implements core.Shard.
@@ -116,7 +143,7 @@ func NewParMACProblem(ds *dataset.Dataset, shardIdx [][]int, cfg ParMACConfig) *
 		for k, i := range idx {
 			z.CopyCode(k, initZ, i)
 		}
-		p.shards = append(p.shards, &Shard{X: subsetPoints{ds, idx}, Z: z})
+		p.shards = append(p.shards, &Shard{X: shardPoints{ds, idx}, Z: z})
 	}
 
 	// Encoder submodels: IDs 0..L-1.
@@ -138,16 +165,18 @@ func NewParMACProblem(ds *dataset.Dataset, shardIdx [][]int, cfg ParMACConfig) *
 	return p
 }
 
-// AddShard appends a shard (for streaming: a newly added machine's data). The
-// new points get codes from the current model's hash when a model is
-// available, otherwise zero codes — matching §4.3 ("creating within that
-// machine coordinate values, e.g. by applying the nested model to x").
-func (p *ParMACProblem) AddShard(pts sgd.Points) int {
+// AddShard appends a shard holding the points idx of ds (for streaming: a
+// newly added machine's data). The new points get codes from the current
+// model's hash when a model is available, otherwise zero codes — matching
+// §4.3 ("creating within that machine coordinate values, e.g. by applying the
+// nested model to x").
+func (p *ParMACProblem) AddShard(ds *dataset.Dataset, idx []int) int {
+	pts := shardPoints{ds, idx}
 	z := retrieval.NewCodes(pts.NumPoints(), p.cfg.L)
 	m := p.AssembleModel()
 	buf := make([]float64, p.d)
 	for i := 0; i < pts.NumPoints(); i++ {
-		z.SetWord64(i, m.EncodePointWord(pts.Point(i, buf)))
+		z.SetWord64(i, m.EncodePointWord(pts.row(i, buf)))
 	}
 	p.shards = append(p.shards, &Shard{X: pts, Z: z})
 	return len(p.shards) - 1
@@ -319,7 +348,9 @@ func (e *encoderSub) ID() int { return e.id }
 
 // TrainOn runs one SGD pass over the shard, predicting bit `bit` of the
 // shard's codes from the features (the "fit SVM to (X, Z_l)" of Fig. 1,
-// executed stochastically as the submodel circulates).
+// executed stochastically as the submodel circulates). Each step reads the
+// point in place when the shard is float-backed, and updates through
+// svm.StepFused (one walk over w for decay and margin).
 func (e *encoderSub) TrainOn(shard core.Shard, order []int) {
 	sh := shard.(*Shard)
 	label := bitLabel(sh.Z, e.bit)
@@ -330,8 +361,10 @@ func (e *encoderSub) TrainOn(shard core.Shard, order []int) {
 	if cap(e.buf) < len(e.svm.W) {
 		e.buf = make([]float64, len(e.svm.W))
 	}
-	// Fused step: bit-for-bit TrainPass with one fewer walk over the weights.
-	e.svm.TrainPassFused(sh.X, label, order, e.buf[:len(e.svm.W)])
+	buf := e.buf[:len(e.svm.W)]
+	for _, i := range order {
+		e.svm.StepFused(sh.X.row(i, buf), label(i), e.svm.Sched.Next())
+	}
 }
 
 // Clone implements core.Submodel.
@@ -349,12 +382,12 @@ func (e *encoderSub) Bytes() int { return e.svm.Bytes() }
 type decoderSub struct {
 	id     int
 	dims   []int       // global output dimensions owned by this group
-	w      *vec.Matrix // L×len(dims): column j = weights of dimension dims[j]
+	w      *vec.Matrix // L×len(dims): row r = bit r's weights for the owned dims
 	c      []float64
 	lambda float64
 	sched  *sgd.Schedule
 	tuned  bool
-	zbuf   []float64
+	x, g   []float64 // scratch: gathered features, per-dimension residual
 }
 
 func newDecoderSub(id, l int, dims []int, lambda float64) *decoderSub {
@@ -372,91 +405,135 @@ func newDecoderSub(id, l int, dims []int, lambda float64) *decoderSub {
 // ID implements core.Submodel.
 func (d *decoderSub) ID() int { return d.id }
 
+// decoderEta0Ladder is the η0 calibration range of the decoder groups
+// (§8.1): 1e-5, 4e-5, …, up to 4.
+var decoderEta0Ladder = sgd.Eta0Ladder(1e-5, 4, 4)
+
 // TrainOn runs one SGD pass fitting x_dim ≈ Σ_l z_l·w_l + c for each owned
-// dimension (the decoder half of the W step, trained stochastically).
+// dimension (the decoder half of the W step, trained stochastically). A
+// visit reads only the owned dimensions of each point and its packed code
+// word(s).
 func (d *decoderSub) TrainOn(shard core.Shard, order []int) {
 	sh := shard.(*Shard)
-	l := d.w.Rows
-	if cap(d.zbuf) < l {
-		d.zbuf = make([]float64, l)
-	}
-	z := d.zbuf[:l]
-	xbuf := make([]float64, dimOf(sh.X))
 	if !d.tuned {
 		d.autoTune(sh, order)
 		d.tuned = true
 	}
+	x := d.scratch()
 	for _, i := range order {
-		CodesPoints{sh.Z}.Point(i, z)
-		x := sh.X.Point(i, xbuf)
-		eta := d.sched.Next()
-		d.step(z, x, eta)
+		d.step(sh.Z.Code(i), sh.X.Gather(i, d.dims, x), d.sched.Next())
 	}
 }
 
-// step performs one SGD update on every owned dimension.
-func (d *decoderSub) step(z, x []float64, eta float64) {
-	l := d.w.Rows
-	for j, dim := range d.dims {
-		pred := d.c[j]
-		for row := 0; row < l; row++ {
-			pred += z[row] * d.w.At(row, j)
-		}
-		err := pred - x[dim]
-		shrink := 1 - eta*d.lambda
-		for row := 0; row < l; row++ {
-			d.w.Set(row, j, d.w.At(row, j)*shrink-eta*err*z[row])
-		}
-		d.c[j] -= eta * err
+// scratch returns the gather buffer, allocating both scratch slices on
+// first use (clones and decoded submodels start without them).
+func (d *decoderSub) scratch() []float64 {
+	if len(d.x) != len(d.dims) {
+		d.x = make([]float64, len(d.dims))
+		d.g = make([]float64, len(d.dims))
 	}
+	return d.x
 }
 
-// loss is the mean squared error over the given sample.
-func (d *decoderSub) loss(sh *Shard, idx []int) float64 {
-	l := d.w.Rows
-	z := make([]float64, l)
-	xbuf := make([]float64, dimOf(sh.X))
-	var total float64
-	for _, i := range idx {
-		CodesPoints{sh.Z}.Point(i, z)
-		x := sh.X.Point(i, xbuf)
-		for j, dim := range d.dims {
-			pred := d.c[j]
-			for row := 0; row < l; row++ {
-				pred += z[row] * d.w.At(row, j)
+// predict writes the group's reconstruction of a code into pred: c_j plus
+// w[r][j] for every set bit r, added in ascending bit order — exactly the
+// dense Σ_r z_r·w[r][j], whose zero terms add nothing.
+func (d *decoderSub) predict(code []uint64, pred []float64) {
+	copy(pred, d.c)
+	for wi, word := range code {
+		for word != 0 {
+			r := wi*64 + bits.TrailingZeros64(word)
+			word &= word - 1
+			for j, w := range d.w.Row(r) {
+				pred[j] += w
 			}
-			e := pred - x[dim]
-			total += 0.5 * e * e
 		}
 	}
-	if len(idx) == 0 {
-		return 0
-	}
-	return total / float64(len(idx))
 }
 
-// autoTune calibrates η0 on the leading sample (§8.1).
+// step performs one SGD update of every owned dimension on a point with the
+// given code and owned features x (x[j] is dimension dims[j]):
+//
+//	w[r][j] ← w[r][j]·(1−ηλ) − η·err_j·z_r,   c_j ← c_j − η·err_j.
+//
+// Rows run outer and owned dimensions inner. The decay walks every row; the
+// gradient term only the rows of set bits, since z_r = 0 adds nothing. With
+// no decay (1−ηλ = 1, always so for λ = 0) the unset rows stay untouched.
+func (d *decoderSub) step(code []uint64, x []float64, eta float64) {
+	d.scratch()
+	g := d.g
+	d.predict(code, g)
+	for j := range g {
+		g[j] = eta * (g[j] - x[j])
+	}
+	if shrink := 1 - eta*d.lambda; shrink != 1 {
+		vec.Scale(shrink, d.w.Data)
+	}
+	for wi, word := range code {
+		for word != 0 {
+			r := wi*64 + bits.TrailingZeros64(word)
+			word &= word - 1
+			row := d.w.Row(r)
+			for j := range row {
+				row[j] -= g[j]
+			}
+		}
+	}
+	for j := range g {
+		d.c[j] -= g[j]
+	}
+}
+
+// addLoss returns total plus the squared error ½·err_j² of every owned
+// dimension on one point, added in dimension order.
+func (d *decoderSub) addLoss(code []uint64, x []float64, total float64) float64 {
+	d.scratch()
+	pred := d.g
+	d.predict(code, pred)
+	for j, p := range pred {
+		e := p - x[j]
+		total += 0.5 * e * e
+	}
+	return total
+}
+
+// autoTune calibrates η0 on the leading sample of the visit's order (§8.1).
+// Every ladder candidate trains its own clone, all in lockstep: each sample
+// point is gathered once for the trial pass and once for the loss pass and
+// fed to every trial. The candidate with the lowest mean squared error wins
+// under sgd.PickEta0's rule.
 func (d *decoderSub) autoTune(sh *Shard, order []int) {
 	n := sgd.TuningSampleSize(sh.NumPoints())
 	if n == 0 {
 		return
 	}
 	sample := make([]int, n)
-	copy(sample, order[:min(n, len(order))])
-	best := sgd.TuneEta0(1e-5, 4, 4, func(eta0 float64) float64 {
-		trial := d.Clone().(*decoderSub)
-		trial.sched = sgd.NewSchedule(eta0, d.lambda)
-		l := trial.w.Rows
-		z := make([]float64, l)
-		xbuf := make([]float64, dimOf(sh.X))
-		for _, i := range sample {
-			CodesPoints{sh.Z}.Point(i, z)
-			x := sh.X.Point(i, xbuf)
-			trial.step(z, x, trial.sched.Next())
+	copy(sample, order)
+	etas := decoderEta0Ladder
+	trials := make([]*decoderSub, len(etas))
+	for c, eta0 := range etas {
+		t := d.Clone().(*decoderSub)
+		t.sched = sgd.NewSchedule(eta0, d.lambda)
+		trials[c] = t
+	}
+	x := make([]float64, len(d.dims))
+	for _, i := range sample {
+		code, xi := sh.Z.Code(i), sh.X.Gather(i, d.dims, x)
+		for _, t := range trials {
+			t.step(code, xi, t.sched.Next())
 		}
-		return trial.loss(sh, sample)
-	})
-	d.sched.Eta0 = best
+	}
+	losses := make([]float64, len(etas))
+	for _, i := range sample {
+		code, xi := sh.Z.Code(i), sh.X.Gather(i, d.dims, x)
+		for c, t := range trials {
+			losses[c] = t.addLoss(code, xi, losses[c])
+		}
+	}
+	for c := range losses {
+		losses[c] /= float64(n)
+	}
+	d.sched.Eta0 = sgd.PickEta0(etas, losses)
 	d.sched.Lambda = d.lambda
 	d.sched.SetSteps(0)
 }
@@ -474,20 +551,6 @@ func (d *decoderSub) Clone() core.Submodel {
 // Bytes implements core.Submodel.
 func (d *decoderSub) Bytes() int { return 8 * (len(d.w.Data) + len(d.c)) }
 
-func dimOf(p sgd.Points) int {
-	if p.NumPoints() == 0 {
-		return 0
-	}
-	return len(p.Point(0, nil))
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // GatherCodes concatenates all shard codes back into one set, ordered shard
 // by shard (for evaluation).
 func (p *ParMACProblem) GatherCodes() *retrieval.Codes {
@@ -504,12 +567,6 @@ func (p *ParMACProblem) GatherCodes() *retrieval.Codes {
 		}
 	}
 	return out
-}
-
-// NewShardPoints builds the sgd.Points view a caller needs to hand extra
-// shards to AddShard from a dataset and explicit indices.
-func NewShardPoints(ds *dataset.Dataset, idx []int) sgd.Points {
-	return subsetPoints{ds, idx}
 }
 
 var _ core.Problem = (*ParMACProblem)(nil)

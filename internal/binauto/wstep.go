@@ -7,7 +7,6 @@ import (
 	"repro/internal/retrieval"
 	"repro/internal/sgd"
 	"repro/internal/svm"
-	"repro/internal/vec"
 )
 
 // This file is the fused W step: the production replacement for
@@ -16,8 +15,8 @@ import (
 // plus the η0 calibration trials — reading every point L times per pass
 // round. The fused trainer inverts the loop nest: one pts.Point read per
 // point visit feeds the updates of every bit, the η0 ladder is evaluated for
-// all bits inside one shared pass per candidate, and the per-step SVM update
-// uses svm.StepFused (scale and margin dot in a single walk over w).
+// every bit and candidate in lockstep (svm.AutoTuneAll), and the per-step SVM
+// update uses svm.StepFused (scale and margin dot in a single walk over w).
 //
 // Equivalence contract: each bit's sequence of (sample, label, η) updates is
 // exactly the serial one, so the trained encoders are bit-for-bit identical
@@ -55,7 +54,12 @@ func TrainWStepFused(m *Model, pts sgd.Points, z *retrieval.Codes, cfg *MACConfi
 	}
 	core.ParallelChunks(l, bitWorkers, func(_, lo, hi int) {
 		buf := make([]float64, m.D())
-		autoTuneFusedBits(m, pts, z, lo, hi, buf)
+		svm.AutoTuneAll(m.Enc[lo:hi], pts, func(k, i int) float64 {
+			if z.Bit(i, lo+k) {
+				return 1
+			}
+			return -1
+		})
 		for _, order := range orders {
 			trainPassFusedBits(m, pts, z, lo, hi, order, buf)
 		}
@@ -78,72 +82,5 @@ func trainPassFusedBits(m *Model, pts sgd.Points, z *retrieval.Codes, lo, hi int
 			e := m.Enc[b]
 			e.StepFused(x, y, e.Sched.Next())
 		}
-	}
-}
-
-// autoTuneFusedBits reproduces svm.Linear.AutoTune for bits [lo, hi) with
-// the data passes shared: for each η0 candidate of the common ladder, one
-// trial-training pass and one loss pass over the leading sample update all
-// bits' trial models, instead of each bit re-reading the sample per
-// candidate. Per bit, the trial sequence, hinge-loss accumulation and
-// selection rule are exactly AutoTune's, so the chosen η0 values are
-// identical.
-func autoTuneFusedBits(m *Model, pts sgd.Points, z *retrieval.Codes, lo, hi int, buf []float64) {
-	n := sgd.TuningSampleSize(pts.NumPoints())
-	if n == 0 {
-		return
-	}
-	etas := svm.TuneLadder() // AutoTune's ladder, from the one definition
-	nb := hi - lo
-	trials := make([]*svm.Linear, nb)
-	hinge := make([]float64, nb)
-	losses := make([][]float64, nb)
-	for j := range losses {
-		losses[j] = make([]float64, len(etas))
-	}
-	for ci, eta0 := range etas {
-		for j := range trials {
-			e := m.Enc[lo+j]
-			t := e.Clone()
-			t.Sched = sgd.NewSchedule(eta0, e.Lambda)
-			trials[j] = t
-		}
-		// Trial pass over the leading sample (AutoTune's sample order is
-		// 0..n-1, no rng).
-		for i := 0; i < n; i++ {
-			x := pts.Point(i, buf)
-			for j, t := range trials {
-				y := -1.0
-				if z.Bit(i, lo+j) {
-					y = 1
-				}
-				t.StepFused(x, y, t.Sched.Next())
-			}
-		}
-		// Hinge-loss pass, accumulated per bit in sample order like AvgLoss.
-		for j := range hinge {
-			hinge[j] = 0
-		}
-		for i := 0; i < n; i++ {
-			x := pts.Point(i, buf)
-			for j, t := range trials {
-				y := -1.0
-				if z.Bit(i, lo+j) {
-					y = 1
-				}
-				if h := 1 - y*t.Margin(x); h > 0 {
-					hinge[j] += h
-				}
-			}
-		}
-		for j, t := range trials {
-			losses[j][ci] = hinge[j]/float64(n) + 0.5*t.Lambda*vec.SqNorm(t.W)
-		}
-	}
-	for j := 0; j < nb; j++ {
-		e := m.Enc[lo+j]
-		e.Sched.Eta0 = sgd.PickEta0(etas, losses[j])
-		e.Sched.Lambda = e.Lambda
-		e.Sched.SetSteps(0)
 	}
 }

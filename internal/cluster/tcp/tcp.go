@@ -29,6 +29,10 @@ import (
 // assemble before giving up.
 const rendezvousTimeout = 60 * time.Second
 
+// teardownTimeout bounds how long a closed or aborted endpoint keeps reading
+// its connection while it waits for the hub to hang up (see teardown).
+const teardownTimeout = 10 * time.Second
+
 // ---------------------------------------------------------------------------
 // hub: rendezvous + router
 // ---------------------------------------------------------------------------
@@ -310,7 +314,7 @@ func (h *Hub) route(p *hubPeer) {
 // Endpoint is a rank's TCP attachment, implementing cluster.Endpoint.
 type Endpoint struct {
 	rank, size int
-	conn       net.Conn
+	conn       *net.TCPConn
 
 	wmu sync.Mutex
 	bw  *bufio.Writer
@@ -353,7 +357,7 @@ func Dial(addr string, rank int, opts ...cluster.Option) (*Endpoint, error) {
 	}
 	conn.SetDeadline(time.Time{})
 	ep := &Endpoint{
-		rank: rank, size: start.Size, conn: conn, bw: bw,
+		rank: rank, size: start.Size, conn: conn.(*net.TCPConn), bw: bw,
 		inbox:  make(chan cluster.Message, o.InboxCapacity),
 		failed: make(chan struct{}),
 		done:   make(chan struct{}),
@@ -372,8 +376,12 @@ func Connect(addr string, rank int, opts ...cluster.Option) (*cluster.Comm, erro
 	return cluster.NewComm(ep), nil
 }
 
+// readLoop feeds the inbox until the connection ends, and then closes it.
+// After Close or Abort it keeps reading, discarding what arrives, until the
+// hub hangs up (see teardown).
 func (ep *Endpoint) readLoop(br *bufio.Reader) {
 	defer close(ep.failed)
+	defer ep.conn.Close()
 	for {
 		f, err := readFrame(br)
 		if err != nil {
@@ -399,7 +407,6 @@ func (ep *Endpoint) readLoop(br *bufio.Reader) {
 		select {
 		case ep.inbox <- m:
 		case <-ep.done:
-			return
 		}
 	}
 }
@@ -414,7 +421,9 @@ func (ep *Endpoint) Size() int { return ep.size }
 // to the hub, which routes it to rank `to`. A write failure is NOT fatal: the
 // connection is closed and the loss surfaces as a LinkError from Next, so a
 // surviving worker never crashes because the hub (or its own link) died
-// mid-send. Encoding failures are still programmer errors and panic.
+// mid-send. After Close or Abort the write side is already shut, and the
+// failed write leaves the teardown alone. Encoding failures are still
+// programmer errors and panic.
 func (ep *Endpoint) Deliver(to int, m cluster.Message) {
 	payload, err := encodePayload(m.Payload)
 	if err != nil {
@@ -428,8 +437,12 @@ func (ep *Endpoint) Deliver(to int, m cluster.Message) {
 	}
 	ep.wmu.Unlock()
 	if err != nil {
-		// Kill the socket; the read loop notices and closes ep.failed.
-		ep.conn.Close()
+		select {
+		case <-ep.done:
+		default:
+			// Kill the socket; the read loop notices and closes ep.failed.
+			ep.conn.Close()
+		}
 	}
 }
 
@@ -466,13 +479,31 @@ func (ep *Endpoint) Next(timeout time.Duration) (cluster.Message, error) {
 	}
 }
 
-// Abort implements cluster.Endpoint: the connection is closed with no bye
-// frame, so the hub treats this rank as unannounced death and broadcasts a
-// peer-down event to the survivors.
-func (ep *Endpoint) Abort() {
+// Abort implements cluster.Endpoint: the connection ends with no bye frame,
+// so the hub treats this rank as an unannounced death and broadcasts a
+// peer-down event to the survivors, behind every frame this rank sent.
+func (ep *Endpoint) Abort() { ep.teardown(false) }
+
+// teardown ends this rank's attachment, after a bye frame when bye is set.
+// It shuts down only the write side: the hub then reads every frame this
+// rank sent, and after them the end of the stream. The read loop keeps
+// draining inbound frames and closes the socket once the hub hangs up, or
+// after teardownTimeout. Closing the socket at once would be unsafe: closing
+// with unread inbound data resets the connection, and the reset can discard
+// frames already written but not yet read by the hub — a dying rank's final
+// forwards.
+func (ep *Endpoint) teardown(bye bool) {
 	ep.closeOnce.Do(func() {
 		close(ep.done)
-		ep.conn.Close()
+		ep.wmu.Lock()
+		if bye && writeFrame(ep.bw, &frame{Kind: frameBye, From: ep.rank}) == nil {
+			ep.bw.Flush()
+		}
+		ep.wmu.Unlock()
+		ep.conn.SetReadDeadline(time.Now().Add(teardownTimeout))
+		if ep.conn.CloseWrite() != nil {
+			ep.conn.Close()
+		}
 	})
 }
 
@@ -487,17 +518,9 @@ func (ep *Endpoint) TryNext() (cluster.Message, bool) {
 }
 
 // Close implements cluster.Endpoint: a bye frame tells the hub this rank is
-// done (graceful shutdown), then the connection is closed.
+// done (graceful shutdown), then the connection ends (see teardown).
 func (ep *Endpoint) Close() error {
-	ep.closeOnce.Do(func() {
-		close(ep.done)
-		ep.wmu.Lock()
-		if writeFrame(ep.bw, &frame{Kind: frameBye, From: ep.rank}) == nil {
-			ep.bw.Flush()
-		}
-		ep.wmu.Unlock()
-		ep.conn.Close()
-	})
+	ep.teardown(true)
 	return nil
 }
 

@@ -141,3 +141,36 @@ func TestFrameDownGolden(t *testing.T) {
 		t.Fatalf("committed frameDown decodes to %+v", f)
 	}
 }
+
+// TestAbortWithUnreadInboundKeepsFinalFrames pins the "death is delivered
+// behind the dead rank's final frames" guarantee when the dying rank still
+// has inbound frames it never read. Closing such a socket outright resets
+// the connection, and the reset can discard frames the rank already wrote.
+func TestAbortWithUnreadInboundKeepsFinalFrames(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		fab, err := NewLoopbackFabric(3, cluster.WithInboxCapacity(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Rank 0 never reads: these pile up in its socket.
+		for i := 0; i < 64; i++ {
+			fab.Comm(1).Send(0, 1, i, 0)
+		}
+		const final = 32
+		for i := 0; i < final; i++ {
+			fab.Comm(0).Send(2, 2, i, 0)
+		}
+		fab.(cluster.Killer).Kill(0)
+		for i := 0; i < final; i++ {
+			m, err := fab.Comm(2).RecvEvent(cluster.AnySource, cluster.AnyTag, 10*time.Second)
+			if err != nil || m.Payload != i {
+				t.Fatalf("round %d: event %d = %v %v, want final frame %d", round, i, m.Payload, err, i)
+			}
+		}
+		var pd *cluster.PeerDownError
+		if _, err := fab.Comm(2).RecvEvent(cluster.AnySource, cluster.AnyTag, 10*time.Second); !errors.As(err, &pd) || pd.Rank != 0 {
+			t.Fatalf("round %d: after the final frames: %v, want PeerDown(0)", round, err)
+		}
+		fab.Close()
+	}
+}

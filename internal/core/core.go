@@ -485,12 +485,16 @@ func (e *Engine) Iterate() IterationResult {
 
 	// Start the W step on all alive machines, arming failure injection where
 	// scheduled.
+	home := make(map[int]int)
+	for _, route := range st.routes {
+		home[route[0]]++
+	}
 	for _, r := range aliveList {
 		failAfter, abrupt, onRescue := e.injectionFor(r)
 		e.coordSendTo(r, tagWStart, WStartMsg{
 			Iter: e.iter, Train: trainVisits, Within: e.cfg.Within,
 			Shuffle: e.cfg.Shuffle, Replicas: e.cfg.Replicas,
-			M: m, FailAfter: failAfter,
+			M: m, Home: home[r], FailAfter: failAfter,
 			FailUnannounced: abrupt, FailRescueAbort: onRescue,
 		})
 	}

@@ -36,6 +36,7 @@ type WStartMsg struct {
 	Shuffle   bool
 	Replicas  bool
 	M         int // total submodel count (for the machine's Z-step assembly)
+	Home      int // tokens that start this step resident at the machine
 	FailAfter int // injected failure: die at this token, -1 to stay alive
 	// FailUnannounced makes the injected death unannounced: the machine
 	// severs its fabric link (no DeathNotice), like a SIGKILL.

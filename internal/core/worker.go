@@ -212,6 +212,14 @@ func (w *worker) runWStep(cfg WStartMsg) bool {
 		}
 	}
 	shard := w.prob.Shard(w.shard)
+	// Home tokens come from the coordinator; ring traffic that overtakes
+	// them waits in held. With every machine taking its home tokens first,
+	// and the rest from its one ring predecessor in that machine's order,
+	// the order a machine processes tokens in — and so where an injected
+	// death strikes — does not depend on arrival timing (without Shuffle,
+	// whose rings give a machine several predecessors).
+	home := cfg.Home
+	var held []*Token
 	for {
 		msg, ok := w.recv()
 		if !ok {
@@ -220,31 +228,23 @@ func (w *worker) runWStep(cfg WStartMsg) bool {
 		switch msg.Tag {
 		case tagToken:
 			tok := msg.Payload.(*Token)
-			if w.dead {
-				w.comm.Send(w.coordRank, tagBounced, tok, 0)
+			if home > 0 && !(msg.From == w.coordRank && tok.Step == 0) {
+				held = append(held, tok)
 				continue
 			}
-			if w.failAfter >= 0 && w.processed >= w.failAfter {
-				if w.failAbrupt {
-					// Unannounced death: sever the fabric link with the token
-					// in memory, exactly like a SIGKILL between receive and
-					// forward. Nothing escapes; the coordinator must detect
-					// and reconstruct (§4.3 without the DeathNotice).
-					w.comm.Abort()
-					return true
+			if w.takeToken(tok, shard, cfg) {
+				return true
+			}
+			if home > 0 {
+				if home--; home == 0 {
+					for _, t := range held {
+						if w.takeToken(t, shard, cfg) {
+							return true
+						}
+					}
+					held = nil
 				}
-				// The machine dies now. Its memory — including the submodel
-				// it was about to train — is gone; only the failure
-				// detection metadata escapes.
-				w.dead = true
-				meta := *tok
-				meta.SM = nil
-				w.comm.Send(w.coordRank, tagDead,
-					DeathNotice{Rank: w.rank, LostID: tok.ID, LostTok: &meta,
-						Hops: w.hops, Bytes: w.bytes}, 0)
-				continue
 			}
-			w.processToken(tok, shard, cfg)
 		case tagRescue:
 			if w.handleRescue(msg.Payload.(int)) {
 				return true
@@ -264,6 +264,38 @@ func (w *worker) runWStep(cfg WStartMsg) bool {
 			panic(fmt.Sprintf("core: machine %d got tag %d during W step", w.rank, msg.Tag))
 		}
 	}
+}
+
+// takeToken handles one token of the W step: a dead machine bounces it, an
+// injected failure strikes, or the machine trains and forwards it. It
+// returns true when the machine died unannounced and must exit.
+func (w *worker) takeToken(tok *Token, shard Shard, cfg WStartMsg) bool {
+	if w.dead {
+		w.comm.Send(w.coordRank, tagBounced, tok, 0)
+		return false
+	}
+	if w.failAfter >= 0 && w.processed >= w.failAfter {
+		if w.failAbrupt {
+			// Unannounced death: sever the fabric link with the token in
+			// memory, exactly like a SIGKILL between receive and forward.
+			// Nothing escapes; the coordinator must detect and reconstruct
+			// (§4.3 without the DeathNotice).
+			w.comm.Abort()
+			return true
+		}
+		// The machine dies now. Its memory — including the submodel it was
+		// about to train — is gone; only the failure detection metadata
+		// escapes.
+		w.dead = true
+		meta := *tok
+		meta.SM = nil
+		w.comm.Send(w.coordRank, tagDead,
+			DeathNotice{Rank: w.rank, LostID: tok.ID, LostTok: &meta,
+				Hops: w.hops, Bytes: w.bytes}, 0)
+		return false
+	}
+	w.processToken(tok, shard, cfg)
+	return false
 }
 
 func (w *worker) processToken(tok *Token, shard Shard, cfg WStartMsg) {

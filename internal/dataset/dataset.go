@@ -75,6 +75,29 @@ func (ds *Dataset) Point(i int, dst []float64) []float64 {
 	return dst
 }
 
+// Gather writes features dims of point i into dst (dst[k] = feature dims[k])
+// and returns it; dst is allocated when nil. A byte-backed dataset
+// dequantises only the gathered bytes, each to the value Point gives it.
+func (ds *Dataset) Gather(i int, dims []int, dst []float64) []float64 {
+	if dst == nil {
+		dst = make([]float64, len(dims))
+	}
+	dst = dst[:len(dims)]
+	if ds.x != nil {
+		row := ds.x.Row(i)
+		for k, j := range dims {
+			dst[k] = row[j]
+		}
+		return dst
+	}
+	scale := (ds.hi - ds.lo) / 255
+	row := ds.bytes[i*ds.D : (i+1)*ds.D]
+	for k, j := range dims {
+		dst[k] = ds.lo + scale*float64(row[j])
+	}
+	return dst
+}
+
 // Matrix materialises the dataset as a float matrix (a copy for byte-backed
 // data, the underlying matrix otherwise).
 func (ds *Dataset) Matrix() *vec.Matrix {
@@ -214,8 +237,7 @@ type ManifoldConfig struct {
 // random sinusoids, x_j = sin(f_j·u + φ_j) + ε. Real image descriptors
 // (GIST/SIFT) concentrate near such manifolds, and this generator reproduces
 // the regime where learned binary autoencoders match or beat the PCA-based
-// hashes — the comparison regime of the paper's Fig. 12 (see EXPERIMENTS.md
-// for the honest caveat about baseline margins on synthetic data).
+// hashes — the comparison regime of the paper's Fig. 12.
 func Manifold(cfg ManifoldConfig) *Dataset {
 	if cfg.Latent <= 0 {
 		cfg.Latent = 3

@@ -80,6 +80,28 @@ func TestPointAliasingAndCopy(t *testing.T) {
 	}
 }
 
+func TestGatherMatchesPoint(t *testing.T) {
+	fl, _ := Clusters(ClusterConfig{N: 30, D: 9, Clusters: 3, Seed: 4})
+	dims := []int{8, 0, 3, 3, 5}
+	for _, ds := range []*Dataset{fl, fl.Quantize()} {
+		for i := 0; i < ds.N; i++ {
+			full := ds.Point(i, make([]float64, ds.D))
+			got := ds.Gather(i, dims, make([]float64, len(dims)+2))
+			if len(got) != len(dims) {
+				t.Fatalf("byte-backed %v: Gather returned %d values, want %d", ds.ByteBacked(), len(got), len(dims))
+			}
+			for k, j := range dims {
+				if math.Float64bits(got[k]) != math.Float64bits(full[j]) {
+					t.Fatalf("byte-backed %v: point %d dim %d: Gather %v, Point %v", ds.ByteBacked(), i, j, got[k], full[j])
+				}
+			}
+		}
+		if got := ds.Gather(2, nil, nil); len(got) != 0 {
+			t.Fatalf("empty gather returned %d values", len(got))
+		}
+	}
+}
+
 func TestSubset(t *testing.T) {
 	ds, _ := Clusters(ClusterConfig{N: 20, D: 3, Clusters: 2, Seed: 3})
 	sub := ds.Subset([]int{5, 7, 9})

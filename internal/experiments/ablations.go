@@ -10,8 +10,8 @@ import (
 	"repro/internal/speedup"
 )
 
-// Ablations of the design choices DESIGN.md calls out. They are not paper
-// figures; they quantify the trade-offs the paper discusses in prose.
+// Ablations of the engine's design choices. They are not paper figures; they
+// quantify the trade-offs the paper discusses in prose.
 
 // abl-z: exact Gray-code enumeration vs relaxed+alternating optimisation in
 // the Z step (§3.1 offers both; the paper enumerates up to L=16 and

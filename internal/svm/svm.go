@@ -101,20 +101,11 @@ func (m *Linear) StepFused(x []float64, y, eta float64) {
 
 // TrainPass runs one stochastic pass over the given sample order, advancing
 // the carried schedule. label(i) must return ±1 for point order[k]=i. It
-// calls Step, the reference update; TrainPassFused is the faster equivalent.
+// calls Step, the reference update; StepFused is the faster equivalent.
 func (m *Linear) TrainPass(pts sgd.Points, label func(i int) float64, order []int, buf []float64) {
 	for _, i := range order {
 		x := pts.Point(i, buf)
 		m.Step(x, label(i), m.Sched.Next())
-	}
-}
-
-// TrainPassFused is TrainPass through StepFused: the same pass bit for bit,
-// with one fewer memory walk over w per update.
-func (m *Linear) TrainPassFused(pts sgd.Points, label func(i int) float64, order []int, buf []float64) {
-	for _, i := range order {
-		x := pts.Point(i, buf)
-		m.StepFused(x, label(i), m.Sched.Next())
 	}
 }
 
@@ -140,38 +131,75 @@ func (m *Linear) AvgLoss(pts sgd.Points, label func(i int) float64, idx []int) f
 	return loss/float64(len(idx)) + 0.5*m.Lambda*vec.SqNorm(m.W)
 }
 
-// The η0 calibration range of AutoTune (paper §8.1). TuneLadder exposes the
-// resulting candidate ladder so fused multi-bit tuners search exactly the
-// same candidates; change the range here and both paths move together.
+// The η0 calibration range of AutoTune (paper §8.1), searched as the ladder
+// lo, lo·factor, …, up to hi.
 const (
 	tuneEta0Lo     = 1e-4
 	tuneEta0Hi     = 16
 	tuneEta0Factor = 4
 )
 
-// TuneLadder returns AutoTune's η0 candidate ladder.
-func TuneLadder() []float64 {
-	return sgd.Eta0Ladder(tuneEta0Lo, tuneEta0Hi, tuneEta0Factor)
-}
-
 // AutoTune calibrates the schedule's η0 by trial passes over the first
 // min(n,1000) points (paper §8.1), leaving the model parameters untouched.
 func (m *Linear) AutoTune(pts sgd.Points, label func(i int) float64) {
+	AutoTuneAll([]*Linear{m}, pts, func(_, i int) float64 { return label(i) })
+}
+
+// AutoTuneAll runs AutoTune for every model of ms, model k learning the
+// labels label(k, i). Every candidate of the η0 ladder, for every model,
+// trains in lockstep: each sample point is read once per pass (one trial
+// pass, one loss pass) and fed to all trial models, instead of being re-read
+// per candidate. Each trial still sees exactly AutoTune's sequence of
+// updates and loss sums, so the chosen η0 is the one a per-candidate
+// sgd.TuneEta0 search over TrainPass and AvgLoss picks.
+func AutoTuneAll(ms []*Linear, pts sgd.Points, label func(k, i int) float64) {
 	n := sgd.TuningSampleSize(pts.NumPoints())
-	if n == 0 {
+	if n == 0 || len(ms) == 0 {
 		return
 	}
-	sample := sgd.Order(n, false, nil)
-	buf := make([]float64, len(m.W))
-	best := sgd.TuneEta0(tuneEta0Lo, tuneEta0Hi, tuneEta0Factor, func(eta0 float64) float64 {
-		trial := m.Clone()
-		trial.Sched = sgd.NewSchedule(eta0, m.Lambda)
-		trial.TrainPass(pts, label, sample, buf)
-		return trial.AvgLoss(pts, label, sample)
-	})
-	m.Sched.Eta0 = best
-	m.Sched.Lambda = m.Lambda
-	m.Sched.SetSteps(0)
+	etas := sgd.Eta0Ladder(tuneEta0Lo, tuneEta0Hi, tuneEta0Factor)
+	ne := len(etas)
+	// trials[k*ne+c] is model k's trial at candidate c.
+	trials := make([]*Linear, len(ms)*ne)
+	for k, m := range ms {
+		for c, eta0 := range etas {
+			t := m.Clone()
+			t.Sched = sgd.NewSchedule(eta0, m.Lambda)
+			trials[k*ne+c] = t
+		}
+	}
+	buf := make([]float64, len(ms[0].W))
+	for i := 0; i < n; i++ {
+		x := pts.Point(i, buf)
+		for k := range ms {
+			y := label(k, i)
+			for _, t := range trials[k*ne : (k+1)*ne] {
+				t.StepFused(x, y, t.Sched.Next())
+			}
+		}
+	}
+	hinge := make([]float64, len(trials))
+	for i := 0; i < n; i++ {
+		x := pts.Point(i, buf)
+		for k := range ms {
+			y := label(k, i)
+			for c, t := range trials[k*ne : (k+1)*ne] {
+				if h := 1 - y*t.Margin(x); h > 0 {
+					hinge[k*ne+c] += h
+				}
+			}
+		}
+	}
+	losses := make([]float64, ne)
+	for k, m := range ms {
+		for c := range etas {
+			t := trials[k*ne+c]
+			losses[c] = hinge[k*ne+c]/float64(n) + 0.5*t.Lambda*vec.SqNorm(t.W)
+		}
+		m.Sched.Eta0 = sgd.PickEta0(etas, losses)
+		m.Sched.Lambda = m.Lambda
+		m.Sched.SetSteps(0)
+	}
 }
 
 // Accuracy returns the fraction of points in idx (all when nil) whose sign is

@@ -210,3 +210,71 @@ func TestKernelisedSVMSolvesNonlinearProblem(t *testing.T) {
 		t.Fatalf("kernel (%v) should beat linear (%v) on rings", kAcc, linAcc)
 	}
 }
+
+// autoTuneReference is the per-candidate η0 search: one sgd.TuneEta0 trial
+// per ladder rung, each re-reading the sample for a TrainPass and an
+// AvgLoss. The lockstep AutoTune must pick the same η0.
+func autoTuneReference(m *Linear, pts sgd.Points, label func(i int) float64) float64 {
+	sample := sgd.Order(sgd.TuningSampleSize(pts.NumPoints()), false, nil)
+	buf := make([]float64, len(m.W))
+	return sgd.TuneEta0(tuneEta0Lo, tuneEta0Hi, tuneEta0Factor, func(eta0 float64) float64 {
+		trial := m.Clone()
+		trial.Sched = sgd.NewSchedule(eta0, m.Lambda)
+		trial.TrainPass(pts, label, sample, buf)
+		return trial.AvgLoss(pts, label, sample)
+	})
+}
+
+func TestAutoTuneLockstepMatchesPerCandidateSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, tc := range []struct {
+		n, d   int
+		lambda float64
+		quant  bool
+	}{
+		{200, 4, 1e-3, false},
+		{1300, 7, 1e-5, false},
+		{600, 12, 1e-1, true},
+		{50, 3, 0, false},
+	} {
+		ds, labels := separable(tc.n, tc.d, int64(tc.n))
+		if tc.quant {
+			ds = ds.Quantize()
+		}
+		// Models 1 and 2 learn noisy labels from non-zero starting weights,
+		// so the ladder's winner differs between models.
+		flip := make([][]float64, 3)
+		ms := make([]*Linear, 3)
+		for k := range ms {
+			flip[k] = make([]float64, tc.n)
+			for i := range flip[k] {
+				flip[k][i] = labels[i]
+				if k > 0 && rng.Float64() < 0.2*float64(k) {
+					flip[k][i] = -labels[i]
+				}
+			}
+			ms[k] = NewLinear(tc.d, tc.lambda)
+			for j := range ms[k].W {
+				ms[k].W[j] = float64(k) * rng.NormFloat64()
+			}
+		}
+		want := make([]float64, len(ms))
+		for k, m := range ms {
+			lab := flip[k]
+			want[k] = autoTuneReference(m, ds, func(i int) float64 { return lab[i] })
+		}
+		AutoTuneAll(ms, ds, func(k, i int) float64 { return flip[k][i] })
+		for k, m := range ms {
+			if m.Sched.Eta0 != want[k] {
+				t.Fatalf("n=%d model %d: lockstep η0 %v, per-candidate search %v", tc.n, k, m.Sched.Eta0, want[k])
+			}
+			single := NewLinear(tc.d, tc.lambda)
+			copy(single.W, m.W)
+			lab := flip[k]
+			single.AutoTune(ds, func(i int) float64 { return lab[i] })
+			if single.Sched.Eta0 != want[k] {
+				t.Fatalf("n=%d model %d: AutoTune η0 %v, per-candidate search %v", tc.n, k, single.Sched.Eta0, want[k])
+			}
+		}
+	}
+}

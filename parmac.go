@@ -20,8 +20,8 @@
 //	})
 //	codes := result.Model.Encode(ds)   // packed binary codes for retrieval
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-vs-measured results.
+// The README describes the package layout, the performance work and the
+// retrieval, serving and fault-tolerance behaviour.
 package parmac
 
 import (
